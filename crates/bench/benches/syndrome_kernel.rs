@@ -6,8 +6,8 @@
 //! The kernel is the hot path of every Monte-Carlo read (each decode starts
 //! with a syndrome), so this bench is the regression guard for the
 //! `LinearBlockCode` layer's performance claim: packed-word evaluation beats
-//! row-by-row `mul_vec`, the batched entry points amortize output allocation
-//! across a campaign's worth of reads, and the allocation-free burst path
+//! row-by-row `mul_vec`, the packed batch entry point reuses one output
+//! buffer across a campaign's worth of reads, and the allocation-free burst path
 //! turns that kernel speedup into an end-to-end read throughput win (the
 //! `read_path/*` groups read `BURST_WORDS` words per iteration, so words/sec
 //! = `BURST_WORDS` / reported per-iteration time).
@@ -66,9 +66,6 @@ fn bench_code<C: LinearBlockCode>(c: &mut Criterion, label: &str, code: &C) {
             i = (i + 1) % words.len();
             black_box(kernel.syndrome_word(&words[i]))
         })
-    });
-    group.bench_function("kernel_batch_4096", |b| {
-        b.iter(|| black_box(code.syndromes_batch(&words)))
     });
     group.bench_function("kernel_batch_words_4096", |b| {
         let mut out = Vec::with_capacity(words.len());

@@ -9,16 +9,18 @@
 //! `BENCH_<group>.json` file per group with the medians, throughput, git
 //! revision, and date — the format documented in `BENCHMARKS.md`.
 //!
-//! `--check` is the CI gate: it verifies that every registered bench group
-//! has a schema-valid `BENCH_<group>.json` on disk. It is a format/coverage
-//! gate, **not** a perf gate — no timing is compared.
+//! The committed files are checked by `harp lint` (rule `bench-registry`),
+//! which is a format/coverage gate, **not** a perf gate — no timing is
+//! compared.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use harp_sim::minijson::Json;
+
 /// Top-level bench groups (the first `/`-segment of every benchmark id
-/// registered in `crates/bench/benches/`). `--check` fails if any of these
+/// registered in `crates/bench/benches/`). `harp lint` fails if any of these
 /// lacks a schema-valid `BENCH_<group>.json`.
 pub const REGISTERED_GROUPS: &[&str] = &[
     "beer_reconstruction",
@@ -61,8 +63,6 @@ struct BenchRecord {
 /// Parsed `bench-export` options.
 #[derive(Debug, Default)]
 struct Options {
-    /// Validate existing `BENCH_*.json` files instead of producing them.
-    check: bool,
     /// Parse a captured bench log instead of running `cargo bench`.
     input: Option<PathBuf>,
     /// Directory holding the `BENCH_*.json` files (default: current dir,
@@ -73,9 +73,6 @@ struct Options {
 /// Runs the subcommand with the arguments after `bench-export`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let options = parse_args(args)?;
-    if options.check {
-        return check(&options.output_dir);
-    }
     let log = match &options.input {
         Some(path) => std::fs::read_to_string(path)
             .map_err(|err| format!("could not read {}: {err}", path.display()))?,
@@ -99,7 +96,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--check" => options.check = true,
             "--input" => {
                 options.input = Some(PathBuf::from(iter.next().ok_or("--input requires a path")?));
             }
@@ -109,9 +105,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             other => return Err(format!("unknown bench-export option: {other}")),
         }
-    }
-    if options.check && options.input.is_some() {
-        return Err("--check and --input are mutually exclusive".to_owned());
     }
     Ok(options)
 }
@@ -140,45 +133,20 @@ fn parse_log(log: &str) -> Vec<BenchRecord> {
     log.lines().filter_map(parse_line).collect()
 }
 
-/// Parses one `bench-json {...}` line (the exact flat shape the vendored
-/// criterion prints; benchmark ids never contain quotes or escapes).
+/// Parses one `bench-json {...}` line: a JSON object with a string `id`,
+/// numeric `median_ns`/`mean_ns`/`min_ns`/`max_ns`, and a non-negative
+/// integer `iterations`.
 fn parse_line(line: &str) -> Option<BenchRecord> {
-    let json = line.trim().strip_prefix("bench-json ")?;
-    let id = string_field(json, "id")?;
+    let json = Json::parse(line.trim().strip_prefix("bench-json ")?).ok()?;
+    let number = |key: &str| json.get(key)?.as_f64();
     Some(BenchRecord {
-        id: id.to_owned(),
-        median_ns: number_field(json, "median_ns")?,
-        mean_ns: number_field(json, "mean_ns")?,
-        min_ns: number_field(json, "min_ns")?,
-        max_ns: number_field(json, "max_ns")?,
-        iterations: number_field(json, "iterations")? as u64,
+        id: json.get("id")?.as_str()?.to_owned(),
+        median_ns: number("median_ns")?,
+        mean_ns: number("mean_ns")?,
+        min_ns: number("min_ns")?,
+        max_ns: number("max_ns")?,
+        iterations: json.get("iterations")?.as_u64()?,
     })
-}
-
-/// Position just past `"key":` (plus any whitespace) in a JSON text.
-fn after_key(json: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    Some(start + json[start..].len() - json[start..].trim_start().len())
-}
-
-/// Finds `"key": "<value>"` in a JSON text.
-fn string_field<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let start = after_key(json, key)?;
-    let value = json[start..].strip_prefix('"')?;
-    let end = value.find('"')?;
-    Some(&value[..end])
-}
-
-/// Finds `"key": <number>` in a JSON text.
-fn number_field(json: &str, key: &str) -> Option<f64> {
-    let start = after_key(json, key)?;
-    let end = json[start..]
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .map_or(json.len(), |offset| start + offset);
-    json[start..end].parse().ok()
 }
 
 /// The top-level group of a benchmark id (everything before the first `/`).
@@ -245,59 +213,6 @@ fn render_group(group: &str, git_rev: &str, date: &str, records: &[BenchRecord])
     body
 }
 
-/// Validates that every registered group has a schema-valid
-/// `BENCH_<group>.json` in `dir`; collects all problems before failing.
-fn check(dir: &Path) -> Result<(), String> {
-    let mut problems = Vec::new();
-    for group in REGISTERED_GROUPS {
-        let path = dir.join(format!("BENCH_{group}.json"));
-        match std::fs::read_to_string(&path) {
-            Ok(body) => {
-                if let Err(problem) = validate_group_file(group, &body) {
-                    problems.push(format!("{}: {problem}", path.display()));
-                }
-            }
-            Err(err) => problems.push(format!("{}: {err}", path.display())),
-        }
-    }
-    if problems.is_empty() {
-        println!(
-            "bench trajectory OK: {} groups with schema-valid BENCH_*.json",
-            REGISTERED_GROUPS.len()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "bench trajectory check failed:\n  {}",
-            problems.join("\n  ")
-        ))
-    }
-}
-
-/// Schema validation for one group file: right group name, provenance
-/// fields present, and at least one entry carrying a median.
-fn validate_group_file(group: &str, body: &str) -> Result<(), String> {
-    match string_field(body, "group") {
-        Some(found) if found == group => {}
-        Some(found) => return Err(format!("group field is {found:?}, expected {group:?}")),
-        None => return Err("missing \"group\" field".to_owned()),
-    }
-    if string_field(body, "git_rev").is_none_or(str::is_empty) {
-        return Err("missing \"git_rev\" field".to_owned());
-    }
-    match string_field(body, "date") {
-        Some(date) if date.len() == 10 && date.as_bytes()[4] == b'-' => {}
-        _ => return Err("missing or malformed \"date\" field (want YYYY-MM-DD)".to_owned()),
-    }
-    if !body.contains("\"entries\"") {
-        return Err("missing \"entries\" array".to_owned());
-    }
-    if string_field(body, "id").is_none() || number_field(body, "median_ns").is_none() {
-        return Err("entries carry no id/median_ns records".to_owned());
-    }
-    Ok(())
-}
-
 /// The current git revision (short), or `"unknown"` outside a repository.
 fn git_revision() -> String {
     Command::new("git")
@@ -359,6 +274,41 @@ mod tests {
     }
 
     #[test]
+    fn parse_line_follows_json_and_rejects_non_integer_iterations() {
+        let spaced = "bench-json {\"id\" : \"g/x\", \"median_ns\" : 1.5, \"mean_ns\": 2, \
+                      \"min_ns\": 1, \"max_ns\": 3e2, \"iterations\" : 7}";
+        let record = parse_line(spaced).unwrap();
+        assert_eq!(record.median_ns, 1.5);
+        assert_eq!(record.max_ns, 300.0);
+        assert_eq!(record.iterations, 7);
+        for iterations in ["-1", "2.5"] {
+            let line = LINE.replace("100000", iterations);
+            assert_ne!(line, LINE);
+            assert_eq!(parse_line(&line), None, "iterations {iterations}");
+        }
+        assert_eq!(parse_line(&LINE.replace("123.5", "\"123.5\"")), None);
+        assert_eq!(parse_line(&format!("{LINE} trailing")), None);
+    }
+
+    /// Diagnostics `harp lint`'s `bench-registry` rule reports against the
+    /// group file `BENCH_<group>.json` with body `body`.
+    fn lint_findings(group: &str, body: String) -> Vec<String> {
+        let mut tree = harp_lint::Tree::default();
+        tree.files.push(harp_lint::SourceFile {
+            rel: "crates/cli/src/bench_export.rs".to_owned(),
+            text: format!("pub const REGISTERED_GROUPS: &[&str] = &[\"{group}\"];\n"),
+        });
+        let json_name = format!("BENCH_{group}.json");
+        tree.bench_json.insert(json_name.clone(), body);
+        harp_lint::analyze(&tree)
+            .diagnostics
+            .into_iter()
+            .filter(|d| d.file == json_name)
+            .map(|d| d.message)
+            .collect()
+    }
+
+    #[test]
     fn groups_are_the_first_id_segment() {
         assert_eq!(
             group_of("syndrome_kernel/hamming_71_64/kernel_single"),
@@ -372,12 +322,15 @@ mod tests {
     fn rendered_group_files_pass_their_own_check() {
         let record = parse_line(LINE).unwrap();
         let body = render_group("syndrome_kernel", "abc1234", "2026-08-08", &[record]);
-        assert!(validate_group_file("syndrome_kernel", &body).is_ok());
+        assert_eq!(
+            lint_findings("syndrome_kernel", body.clone()),
+            Vec::<String>::new()
+        );
         // Wrong group name, missing provenance, and empty entries all fail.
-        assert!(validate_group_file("read_path", &body).is_err());
-        assert!(validate_group_file("syndrome_kernel", "{}").is_err());
+        assert!(!lint_findings("read_path", body).is_empty());
+        assert!(!lint_findings("syndrome_kernel", "{}".to_owned()).is_empty());
         let empty = render_group("syndrome_kernel", "abc1234", "2026-08-08", &[]);
-        assert!(validate_group_file("syndrome_kernel", &empty).is_err());
+        assert!(!lint_findings("syndrome_kernel", empty).is_empty());
     }
 
     #[test]
@@ -396,11 +349,8 @@ mod tests {
         export(&[record], &dir).unwrap();
         let path = dir.join("BENCH_syndrome_kernel.json");
         let body = std::fs::read_to_string(&path).unwrap();
-        assert!(validate_group_file("syndrome_kernel", &body).is_ok());
         assert!(body.contains("\"throughput_iters_per_sec\""));
-        // The full check still fails because the other registered groups are
-        // absent from the temp dir.
-        assert!(check(&dir).is_err());
+        assert_eq!(lint_findings("syndrome_kernel", body), Vec::<String>::new());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -408,11 +358,10 @@ mod tests {
     fn option_parsing_rejects_conflicts_and_unknown_flags() {
         let to_args =
             |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
-        assert!(parse_args(&to_args(&["--check"])).unwrap().check);
         let opts = parse_args(&to_args(&["--input", "log.txt", "--output-dir", "out"])).unwrap();
         assert_eq!(opts.input.as_deref(), Some(Path::new("log.txt")));
         assert_eq!(opts.output_dir, Path::new("out"));
-        assert!(parse_args(&to_args(&["--check", "--input", "x"])).is_err());
+        assert!(parse_args(&to_args(&["--check"])).is_err());
         assert!(parse_args(&to_args(&["--bogus"])).is_err());
         assert!(parse_args(&to_args(&["--input"])).is_err());
     }

@@ -41,10 +41,10 @@
 //!                not strict JSON; see vendor/serde_json)
 //!
 //! tooling subcommands (their own flags; see BENCHMARKS.md and ROADMAP.md):
-//!   bench-export [--check] [--input PATH] [--output-dir DIR]
+//!   bench-export [--input PATH] [--output-dir DIR]
 //!                persist each bench group's medians as BENCH_<group>.json
 //!                (default: runs `cargo bench --workspace` with the
-//!                machine-readable hook); --check validates the files
+//!                machine-readable hook); `harp lint` checks the files
 //!   sweep [--full] [--long-code] [--checkpoint-dir DIR]
 //!         [--checkpoint-interval N] [--resume] [--shard i/N] [--out PATH]
 //!                run the active-phase coverage sweep as a resumable
@@ -329,7 +329,7 @@ fn main() -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(message) => {
                 eprintln!("error: {message}");
-                eprintln!("usage: harp bench-export [--check] [--input PATH] [--output-dir DIR]");
+                eprintln!("usage: harp bench-export [--input PATH] [--output-dir DIR]");
                 ExitCode::FAILURE
             }
         };
@@ -404,7 +404,7 @@ fn main() -> ExitCode {
                  extensions|all> \
                  [--full] [--long-code] [--json PATH]\n       \
                  harp sweep [--checkpoint-dir DIR] [--resume] [--shard i/N] ... | \
-                 harp merge FILE... | harp bench-export [--check] | harp lint [--check] | \
+                 harp merge FILE... | harp bench-export | harp lint [--check] | \
                  harp <submit|watch|jobs|cancel|shutdown> [--addr HOST:PORT] ..."
             );
             return ExitCode::from(2);

@@ -23,8 +23,10 @@
 //! Syndrome computation dominates Monte-Carlo campaign time, so the trait
 //! routes it through a per-code [`SyndromeKernel`] (a word-packed copy of the
 //! parity-check matrix built once at construction). [`LinearBlockCode::syndrome`]
-//! uses the kernel for single reads; [`LinearBlockCode::syndromes_batch`]
-//! amortizes output allocation over many reads.
+//! uses the kernel for single reads; burst reads (`MemoryChip::read_burst`)
+//! evaluate a whole scrub pass through the kernel's bit-sliced entry point
+//! and resolve each dirty word with
+//! [`LinearBlockCode::decode_with_syndrome_into`].
 //!
 //! # Example: one campaign, three codes
 //!
@@ -189,12 +191,6 @@ pub trait LinearBlockCode: std::fmt::Debug {
         self.syndrome_kernel().syndrome(stored)
     }
 
-    /// Computes the syndromes of many stored codewords in one batched pass
-    /// (see [`SyndromeKernel::syndromes`]).
-    fn syndromes_batch(&self, stored: &[BitVec]) -> Vec<BitVec> {
-        self.syndrome_kernel().syndromes(stored)
-    }
-
     /// Convenience wrapper: encodes `data`, XORs in `error` (a
     /// codeword-length error pattern), decodes, and returns the result.
     ///
@@ -296,25 +292,6 @@ mod tests {
                 codeword.slice(code.data_len(), code.codeword_len()),
                 code.parity_block().mul_vec(&data)
             );
-        }
-    }
-
-    #[test]
-    fn batched_syndromes_match_single_reads() {
-        for code in codes() {
-            let words: Vec<BitVec> = (0..16)
-                .map(|i| {
-                    let mut w = code.encode(&BitVec::from_u64(32, 0xACE0 + i));
-                    if i % 3 == 0 {
-                        w.flip((i as usize) % w.len());
-                    }
-                    w
-                })
-                .collect();
-            let batched = code.syndromes_batch(&words);
-            for (word, syndrome) in words.iter().zip(&batched) {
-                assert_eq!(&code.syndrome(word), syndrome);
-            }
         }
     }
 

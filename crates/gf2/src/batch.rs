@@ -8,22 +8,22 @@
 //! of `H` once per code and then evaluates syndromes with nothing but word
 //! loads, `AND`, `XOR`, and population counts — no per-call matrix traversal
 //! and no per-row `BitVec` allocation. For whole batches,
-//! [`SyndromeKernel::syndrome_words_into`] additionally reuses one packed
-//! output buffer across all codewords (the `BitVec`-producing batch entry
-//! points still allocate one output vector per codeword), and
+//! [`SyndromeKernel::syndrome_words_into`] reuses one packed output buffer
+//! across all codewords, and
 //! [`SyndromeKernel::syndrome_words_bitsliced_into`] drops the per-word loop
 //! entirely: 64-codeword blocks are transposed into bit-position lanes (see
 //! [`bitslice`](crate::bitslice)) and every syndrome row is evaluated for a
 //! whole block at once, emitting a per-block nonzero-syndrome mask alongside
-//! the packed syndromes.
+//! the packed syndromes. The bit-sliced pass is the one the burst read path
+//! (`MemoryChip::read_burst`) uses; the per-word `syndrome_words_into` loop
+//! is its scalar oracle.
 //!
 //! All three code families in the workspace (SEC Hamming, SEC-DED extended
 //! Hamming, and the DEC BCH code) implement the `harp_ecc` trait seam —
 //! `LinearBlockCode::syndrome_kernel` — and route their `syndrome` path
-//! through a kernel owned by the code; campaign drivers can additionally
-//! call [`SyndromeKernel::syndromes`] / [`SyndromeKernel::syndromes_into`]
-//! to batch reads. The `syndrome_kernel` and `bitsliced_kernel` bench
-//! targets measure the per-read vs. batched vs. bit-sliced cost.
+//! through a kernel owned by the code. The `syndrome_kernel` and
+//! `bitsliced_kernel` bench targets measure the per-read vs. bit-sliced
+//! cost.
 //!
 //! # Example
 //!
@@ -173,48 +173,6 @@ impl SyndromeKernel {
         out
     }
 
-    /// Computes the syndromes of a batch of codewords, appending one `BitVec`
-    /// per codeword to `out`.
-    ///
-    /// This is a convenience entry point, *not* the allocation-free hot path:
-    /// it still allocates one output `BitVec` per codeword (`out` is only
-    /// reserved once up front). Hot callers should use the packed
-    /// [`SyndromeKernel::syndrome_words_into`] or the bit-sliced
-    /// [`SyndromeKernel::syndrome_words_bitsliced_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword length does not match the kernel.
-    pub fn syndromes_into(&self, codewords: &[BitVec], out: &mut Vec<BitVec>) {
-        out.reserve(codewords.len());
-        for codeword in codewords {
-            out.push(self.syndrome(codeword));
-        }
-    }
-
-    /// Computes the syndromes of a batch of codewords, allocating the output
-    /// vector (see [`SyndromeKernel::syndromes_into`] for the allocation
-    /// caveat).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use harp_gf2::{BitVec, Gf2Matrix, SyndromeKernel};
-    ///
-    /// let h = Gf2Matrix::identity(4);
-    /// let kernel = SyndromeKernel::new(&h);
-    /// let words = vec![BitVec::from_indices(4, [1]), BitVec::zeros(4)];
-    /// let syndromes = kernel.syndromes(&words);
-    /// assert_eq!(syndromes[0], words[0]);
-    /// assert!(syndromes[1].is_zero());
-    /// ```
-    #[must_use]
-    pub fn syndromes(&self, codewords: &[BitVec]) -> Vec<BitVec> {
-        let mut out = Vec::new();
-        self.syndromes_into(codewords, &mut out);
-        out
-    }
-
     /// Computes the packed-`u64` syndromes of a batch of codewords, reusing
     /// `out` (cleared first). This is the allocation-free hot path used by
     /// Monte-Carlo campaigns: `MemoryChip::read_burst` feeds it a whole scrub
@@ -301,39 +259,6 @@ impl SyndromeKernel {
                 out[base + i] = word;
                 dirty &= dirty - 1;
             }
-            masks.push(mask);
-        });
-    }
-
-    /// Computes only the per-block nonzero-syndrome masks of a batch of
-    /// codewords (bit `i` of `masks[block]` set iff codeword
-    /// `64 * block + i` has a nonzero syndrome), reusing `masks` (cleared
-    /// first).
-    ///
-    /// Unlike [`SyndromeKernel::syndrome_words_bitsliced_into`], this entry
-    /// point has no 64-row limit: it is the bit-sliced twin of the
-    /// wide-syndrome [`SyndromeKernel::syndrome`] fallback, since the mask
-    /// only needs the OR of the row accumulators, never a packed syndrome
-    /// word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword length does not match the kernel.
-    pub fn nonzero_masks_bitsliced_into<'a, I>(
-        &self,
-        codewords: I,
-        masks: &mut Vec<u64>,
-        scratch: &mut BitsliceScratch,
-    ) where
-        I: IntoIterator<Item = &'a BitVec>,
-    {
-        masks.clear();
-        self.for_each_block(codewords, scratch, |kernel, block, scratch| {
-            let mask = if kernel.slice_block(block, scratch) {
-                kernel.accumulate_rows(scratch)
-            } else {
-                0
-            };
             masks.push(mask);
         });
     }
@@ -495,15 +420,11 @@ mod tests {
         let words: Vec<BitVec> = (0..64)
             .map(|k| BitVec::from_indices(136, (0..136).filter(move |&b| (b * 7 + k) % 5 == 0)))
             .collect();
-        let batched = kernel.syndromes(&words);
-        assert_eq!(batched.len(), words.len());
-        for (word, syndrome) in words.iter().zip(&batched) {
-            assert_eq!(&kernel.syndrome(word), syndrome);
-        }
         let mut packed = Vec::new();
         kernel.syndrome_words_into(&words, &mut packed);
-        for (syndrome, &word) in batched.iter().zip(&packed) {
-            assert_eq!(syndrome.to_u64(), word);
+        assert_eq!(packed.len(), words.len());
+        for (word, &syndrome) in words.iter().zip(&packed) {
+            assert_eq!(kernel.syndrome(word).to_u64(), syndrome);
         }
     }
 
@@ -589,24 +510,6 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(out, reference);
-        }
-    }
-
-    #[test]
-    fn wide_kernel_masks_match_wide_syndromes() {
-        // More than 64 rows: packed syndrome words are unavailable, but the
-        // nonzero masks still are (the wide-syndrome fallback's twin).
-        let h = dense_h(70, 100, 31);
-        let kernel = SyndromeKernel::new(&h);
-        let words: Vec<BitVec> = (0..70)
-            .map(|k| BitVec::from_indices(100, (0..100).filter(move |&b| (b * 3 + k) % 9 == 0)))
-            .collect();
-        let mut masks = Vec::new();
-        kernel.nonzero_masks_bitsliced_into(&words, &mut masks, &mut BitsliceScratch::new());
-        assert_eq!(masks.len(), 2);
-        for (i, word) in words.iter().enumerate() {
-            let bit = (masks[i / 64] >> (i % 64)) & 1;
-            assert_eq!(bit == 1, !kernel.syndrome(word).is_zero(), "word {i}");
         }
     }
 

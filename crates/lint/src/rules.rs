@@ -426,6 +426,45 @@ fn registered_groups(
     None
 }
 
+/// The bytes after the first `key` in `text`.
+fn after<'t>(text: &'t str, key: &str) -> Option<&'t [u8]> {
+    text.split_once(key).map(|(_, rest)| rest.as_bytes())
+}
+
+/// Schema checks for one committed `BENCH_<name>.json`, written against
+/// the layout `harp bench-export` renders: the right group, a non-empty
+/// `git_rev`, a `YYYY-MM-DD` `date`, and at least one entry line carrying
+/// an `id` and a numeric `median_ns`.
+fn bench_json_problems(name: &str, body: &str) -> Vec<String> {
+    let mut problems = Vec::new();
+    if !body.contains(&format!("\"group\": \"{name}\"")) {
+        problems.push(format!("does not declare `\"group\": \"{name}\"`"));
+    }
+    if !body.contains("\"git_rev\": \"") || body.contains("\"git_rev\": \"\"") {
+        problems.push("has no non-empty `git_rev`".to_owned());
+    }
+    let is_date = |d: &[u8]| {
+        d.len() > 10
+            && d[10] == b'"'
+            && d[..10].iter().enumerate().all(|(i, c)| match i {
+                4 | 7 => *c == b'-',
+                _ => c.is_ascii_digit(),
+            })
+    };
+    if after(body, "\"date\": \"").is_none_or(|d| !is_date(d)) {
+        problems.push("has no `date` in YYYY-MM-DD form".to_owned());
+    }
+    let has_median = |line: &str| {
+        line.contains("\"id\": \"")
+            && after(line, "\"median_ns\": ")
+                .is_some_and(|v| v.first().is_some_and(u8::is_ascii_digit))
+    };
+    if !body.lines().any(has_median) {
+        problems.push("has no entry with an `id` and a `median_ns`".to_owned());
+    }
+    problems
+}
+
 pub fn bench_registry_rule(tree: &Tree, lexed: &[Option<Vec<Token>>], report: &mut Report) {
     let mut groups: Vec<BenchGroup> = Vec::new();
     for (file, tokens) in tree.files.iter().zip(lexed) {
@@ -477,15 +516,16 @@ pub fn bench_registry_rule(tree: &Tree, lexed: &[Option<Vec<Token>>], report: &m
                 rule: "bench-registry",
                 message: format!("registered group `{name}` has no committed {json_name}"),
             }),
-            Some(body) if !body.contains(&format!("\"group\": \"{name}\"")) => {
-                report.diagnostics.push(Diagnostic {
-                    file: json_name.clone(),
-                    line: 1,
-                    rule: "bench-registry",
-                    message: format!("{json_name} does not declare `\"group\": \"{name}\"`"),
-                });
+            Some(body) => {
+                for problem in bench_json_problems(name, body) {
+                    report.diagnostics.push(Diagnostic {
+                        file: json_name.clone(),
+                        line: 1,
+                        rule: "bench-registry",
+                        message: format!("{json_name} {problem}"),
+                    });
+                }
             }
-            Some(_) => {}
         }
         if !tree.benchmarks_md.contains(name) {
             report.diagnostics.push(Diagnostic {

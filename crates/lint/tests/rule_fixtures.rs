@@ -255,6 +255,16 @@ fn rng_salt_rule_skips_tests_and_honors_allows() {
 // Rule 4: bench-registry
 // ---------------------------------------------------------------------------
 
+/// A schema-valid `BENCH_<group>.json` body in the layout `harp
+/// bench-export` renders.
+fn bench_json(group: &str) -> String {
+    format!(
+        "{{\n  \"group\": \"{group}\",\n  \"git_rev\": \"abc1234\",\n  \
+         \"date\": \"2026-08-08\",\n  \"entries\": [\n    \
+         {{\"id\": \"alpha/decode\", \"median_ns\": 12.000, \"iterations\": 40}}\n  ]\n}}\n"
+    )
+}
+
 /// A coherent single-group tree: bench target, registry, JSON, and docs
 /// all agree on `alpha`.
 fn registry_tree() -> Tree {
@@ -270,10 +280,8 @@ fn registry_tree() -> Tree {
             "pub const REGISTERED_GROUPS: &[&str] = &[\"alpha\"];\n",
         ),
     ]);
-    t.bench_json.insert(
-        "BENCH_alpha.json".to_owned(),
-        "{\n  \"group\": \"alpha\",\n  \"entries\": []\n}\n".to_owned(),
-    );
+    t.bench_json
+        .insert("BENCH_alpha.json".to_owned(), bench_json("alpha"));
     t.benchmarks_md = "The `alpha` group measures the decode path.".to_owned();
     t
 }
@@ -316,10 +324,8 @@ fn bench_registry_flags_a_registered_group_with_no_backing() {
 #[test]
 fn bench_registry_flags_json_group_mismatch_and_strays() {
     let mut t = registry_tree();
-    t.bench_json.insert(
-        "BENCH_alpha.json".to_owned(),
-        "{\n  \"group\": \"other\",\n  \"entries\": []\n}\n".to_owned(),
-    );
+    t.bench_json
+        .insert("BENCH_alpha.json".to_owned(), bench_json("other"));
     t.bench_json
         .insert("BENCH_zzz.json".to_owned(), "{}".to_owned());
     let report = analyze(&t);
@@ -329,6 +335,44 @@ fn bench_registry_flags_json_group_mismatch_and_strays() {
     assert!(found
         .iter()
         .any(|d| d.message.contains("stray BENCH_zzz.json")));
+}
+
+#[test]
+fn bench_registry_flags_bench_json_schema_violations() {
+    let valid = bench_json("alpha");
+    for (broken, problem) in [
+        (
+            valid.replace("\"git_rev\": \"abc1234\"", "\"git_rev\": \"\""),
+            "git_rev",
+        ),
+        (valid.replace("\"git_rev\": \"abc1234\",\n", ""), "git_rev"),
+        (valid.replace("2026-08-08", "2026-8-08"), "date"),
+        (valid.replace("2026-08-08", "08/08/2026"), "date"),
+        (
+            valid.replace("\"median_ns\": 12.000", "\"mean_ns\": 12.000"),
+            "median_ns",
+        ),
+        (
+            valid.replace("\"median_ns\": 12.000", "\"median_ns\": null"),
+            "median_ns",
+        ),
+        (
+            valid.replace(
+                "{\"id\": \"alpha/decode\", \"median_ns\": 12.000, \"iterations\": 40}",
+                "",
+            ),
+            "median_ns",
+        ),
+    ] {
+        assert_ne!(broken, valid, "fixture edit for {problem} must apply");
+        let mut t = registry_tree();
+        t.bench_json.insert("BENCH_alpha.json".to_owned(), broken);
+        let report = analyze(&t);
+        let found = diags(&report, "bench-registry");
+        assert_eq!(found.len(), 1, "{problem}: {}", report.render_text());
+        assert_eq!(found[0].file, "BENCH_alpha.json");
+        assert!(found[0].message.contains(problem), "{}", found[0].message);
+    }
 }
 
 #[test]

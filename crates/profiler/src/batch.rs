@@ -191,6 +191,25 @@ impl<C: LinearBlockCode + Clone + Send + 'static> CampaignBatch<C> {
         )
     }
 
+    /// The round-0 burst state of the cell: one chip slot per word carrying
+    /// its fault model, each word's fault-injection RNG seeded from its
+    /// campaign seed exactly as [`ProfilingCampaign::run_profiler`] seeds
+    /// it, and a burst scratch sized for the whole cell. Shared by
+    /// [`CampaignBatch::run_profilers`] and the resumable
+    /// [`crate::checkpoint::BatchRun`].
+    pub(crate) fn burst_state(&self) -> (MemoryChip<C>, Vec<ChaCha8Rng>, BurstScratch) {
+        let mut chip = MemoryChip::new(self.code.clone(), self.len());
+        for (slot, word) in self.words.iter().enumerate() {
+            chip.set_fault_model(slot, word.faults.clone());
+        }
+        let rngs = self
+            .words
+            .iter()
+            .map(|word| ChaCha8Rng::seed_from_u64(word.seed ^ CAMPAIGN_RNG_SALT))
+            .collect();
+        (chip, rngs, BurstScratch::with_capacity(self.len()))
+    }
+
     /// Runs a freshly instantiated profiler of the given kind on every word
     /// of the cell for `rounds` rounds, returning one [`CampaignResult`] per
     /// word in word order.
@@ -229,19 +248,10 @@ impl<C: LinearBlockCode + Clone + Send + 'static> CampaignBatch<C> {
             self.words.len(),
             profilers.len()
         );
-        let count = self.words.len();
-        let mut chip = MemoryChip::new(self.code.clone(), count);
-        for (slot, word) in self.words.iter().enumerate() {
-            chip.set_fault_model(slot, word.faults.clone());
-        }
-        let mut rngs: Vec<ChaCha8Rng> = self
-            .words
-            .iter()
-            .map(|word| ChaCha8Rng::seed_from_u64(word.seed ^ CAMPAIGN_RNG_SALT))
+        let (mut chip, mut rngs, mut scratch) = self.burst_state();
+        let mut snapshots: Vec<Vec<RoundSnapshot>> = (0..self.len())
+            .map(|_| Vec::with_capacity(rounds))
             .collect();
-        let mut scratch = BurstScratch::with_capacity(count);
-        let mut snapshots: Vec<Vec<RoundSnapshot>> =
-            (0..count).map(|_| Vec::with_capacity(rounds)).collect();
         for round in 0..rounds {
             step_batch_round(
                 &mut chip,

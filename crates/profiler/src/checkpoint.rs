@@ -16,24 +16,24 @@
 //! Chip contents need no checkpointing: every round rewrites each slot before
 //! the burst read, and the pattern schedule is a pure function of the round
 //! index. [`BatchRun`] is the resumable twin of
-//! [`CampaignBatch::run`](crate::batch::CampaignBatch::run) and
-//! [`CampaignRun`] of
-//! [`ProfilingCampaign::run_profiler`](crate::campaign::ProfilingCampaign);
-//! both replicate their reference round loop exactly, so
+//! [`CampaignBatch::run`](crate::batch::CampaignBatch::run): it drives the
+//! same round loop from the same burst state, so
 //! checkpoint-at-round-k-then-resume produces the same [`CampaignResult`]s as
 //! an uninterrupted run — the invariant `tests/checkpoint_resume.rs` locks
-//! down across all profiler kinds and code families.
+//! down across all profiler kinds and code families. A one-word `BatchRun`
+//! resumes a single word's campaign; it matches the scalar
+//! [`ProfilingCampaign::run_profiler`](crate::campaign::ProfilingCampaign)
+//! oracle.
 
 use std::collections::BTreeSet;
 
-use rand::SeedableRng;
 use rand_chacha::{ChaCha8Rng, ChaCha8RngState};
 
 use harp_ecc::LinearBlockCode;
 use harp_memsim::{BurstScratch, MemoryChip};
 
 use crate::batch::{step_batch_round, CampaignBatch};
-use crate::campaign::{CampaignResult, ProfilingCampaign, RoundSnapshot, CAMPAIGN_RNG_SALT};
+use crate::campaign::{CampaignResult, RoundSnapshot};
 use crate::traits::{Profiler, ProfilerKind};
 
 /// The mutable accumulators of any [`Profiler`] implementation, in one
@@ -132,26 +132,18 @@ pub struct BatchRun<C: LinearBlockCode = harp_ecc::HammingCode> {
 impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
     /// Starts a resumable campaign of `kind` over the batch, at round 0.
     pub fn new(batch: &CampaignBatch<C>, kind: ProfilerKind) -> Self {
-        let count = batch.len();
-        let mut chip = MemoryChip::new(batch.code().clone(), count);
-        for (slot, word) in batch.words().iter().enumerate() {
-            chip.set_fault_model(slot, word.faults.clone());
-        }
+        let (chip, rngs, scratch) = batch.burst_state();
         Self {
             kind,
             chip,
-            rngs: batch
-                .words()
-                .iter()
-                .map(|word| ChaCha8Rng::seed_from_u64(word.seed ^ CAMPAIGN_RNG_SALT))
-                .collect(),
-            scratch: BurstScratch::with_capacity(count),
+            rngs,
+            scratch,
             profilers: batch
                 .words()
                 .iter()
                 .map(|word| kind.instantiate(batch.code(), word.pattern, word.seed))
                 .collect(),
-            snapshots: (0..count).map(|_| Vec::new()).collect(),
+            snapshots: (0..batch.len()).map(|_| Vec::new()).collect(),
             round: 0,
         }
     }
@@ -241,102 +233,6 @@ impl<C: LinearBlockCode + Clone + Send + 'static> BatchRun<C> {
     }
 }
 
-/// A resumable scalar campaign: the stateful twin of
-/// [`ProfilingCampaign::run_profiler`] for one word, using the same one-word
-/// burst path (`MemoryChip::write` + `read_burst`) as the scalar reference.
-#[derive(Debug)]
-pub struct CampaignRun<C: LinearBlockCode = harp_ecc::HammingCode> {
-    chip: MemoryChip<C>,
-    rng: ChaCha8Rng,
-    scratch: BurstScratch,
-    profiler: Box<dyn Profiler>,
-    snapshots: Vec<RoundSnapshot>,
-    kind: ProfilerKind,
-    round: usize,
-}
-
-impl<C: LinearBlockCode + Clone + Send + 'static> CampaignRun<C> {
-    /// Starts a resumable scalar campaign of `kind`, at round 0.
-    pub fn new(campaign: &ProfilingCampaign<C>, kind: ProfilerKind) -> Self {
-        let mut chip = MemoryChip::new(campaign.code().clone(), 1);
-        chip.set_fault_model(0, campaign.faults().clone());
-        Self {
-            chip,
-            rng: ChaCha8Rng::seed_from_u64(campaign.seed() ^ CAMPAIGN_RNG_SALT),
-            scratch: BurstScratch::new(),
-            profiler: kind.instantiate(campaign.code(), campaign.pattern(), campaign.seed()),
-            snapshots: Vec::new(),
-            kind,
-            round: 0,
-        }
-    }
-
-    /// Reconstructs a scalar run at exactly the checkpointed position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint does not hold exactly one word.
-    pub fn resume(campaign: &ProfilingCampaign<C>, checkpoint: &CampaignCheckpoint) -> Self {
-        assert_eq!(
-            checkpoint.words.len(),
-            1,
-            "a scalar campaign checkpoint holds exactly one word"
-        );
-        let mut run = Self::new(campaign, checkpoint.kind);
-        let word = &checkpoint.words[0];
-        run.round = checkpoint.round;
-        run.rng = ChaCha8Rng::from_state(word.rng);
-        run.profiler.restore(&word.profiler);
-        run.snapshots = word.snapshots.clone();
-        run
-    }
-
-    /// Number of completed rounds.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Runs `rounds` further rounds through the scalar reference loop.
-    pub fn advance(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            let round = self.round;
-            let data = self.profiler.dataword_for_round(round);
-            self.chip.write(0, &data);
-            let observation = &self.chip.read_burst(0..1, &mut self.rng, &mut self.scratch)[0];
-            self.profiler.observe_round(round, observation);
-            self.snapshots.push(RoundSnapshot {
-                round,
-                identified: self.profiler.identified().clone(),
-                predicted: self.profiler.predicted(),
-            });
-            self.round += 1;
-        }
-    }
-
-    /// Freezes the run after the current round (a one-word
-    /// [`CampaignCheckpoint`]).
-    pub fn checkpoint(&self) -> CampaignCheckpoint {
-        CampaignCheckpoint {
-            kind: self.kind,
-            round: self.round,
-            words: vec![WordCheckpoint {
-                rng: self.rng.state(),
-                profiler: self.profiler.state(),
-                snapshots: self.snapshots.clone(),
-            }],
-        }
-    }
-
-    /// The result so far, identical to what
-    /// [`ProfilingCampaign::run`] returns after the same number of rounds.
-    pub fn result(&self) -> CampaignResult {
-        CampaignResult {
-            profiler: self.profiler.name().to_owned(),
-            snapshots: self.snapshots.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,33 +276,33 @@ mod tests {
 
     #[test]
     fn resume_at_every_round_matches_uninterrupted() {
-        let batch = cell(7);
+        // A multi-word cell, and a one-word cell: the single-word campaign
+        // that the scalar `ProfilingCampaign` oracle runs.
+        let one_word = {
+            let batch = cell(9);
+            CampaignBatch::new(batch.code().clone(), batch.words()[..1].to_vec())
+        };
         let rounds = 16;
-        for kind in ProfilerKind::ALL {
-            let reference = batch.run(kind, rounds);
-            for k in 0..=rounds {
-                let mut first = BatchRun::new(&batch, kind);
-                first.advance(k);
-                let frozen = first.checkpoint();
-                let mut resumed = BatchRun::resume(&batch, &frozen);
-                resumed.advance(rounds - k);
-                assert_eq!(resumed.results(), reference, "{kind} at round {k}");
+        for batch in [cell(7), one_word] {
+            for kind in ProfilerKind::ALL {
+                let reference = batch.run(kind, rounds);
+                if batch.len() == 1 {
+                    assert_eq!(
+                        reference,
+                        [batch.scalar_campaign(0).run(kind, rounds)],
+                        "{kind}"
+                    );
+                }
+                for k in 0..=rounds {
+                    let mut first = BatchRun::new(&batch, kind);
+                    first.advance(k);
+                    let frozen = first.checkpoint();
+                    let mut resumed = BatchRun::resume(&batch, &frozen);
+                    assert_eq!(resumed.round(), k);
+                    resumed.advance(rounds - k);
+                    assert_eq!(resumed.results(), reference, "{kind} at round {k}");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn scalar_run_resumes_identically() {
-        let batch = cell(9);
-        let campaign = batch.scalar_campaign(0);
-        for kind in ProfilerKind::ALL {
-            let reference = campaign.run(kind, 20);
-            let mut run = CampaignRun::new(&campaign, kind);
-            run.advance(13);
-            let mut resumed = CampaignRun::resume(&campaign, &run.checkpoint());
-            assert_eq!(resumed.round(), 13);
-            resumed.advance(7);
-            assert_eq!(resumed.result(), reference, "{kind}");
         }
     }
 
