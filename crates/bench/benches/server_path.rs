@@ -9,9 +9,8 @@
 //!   tiny sweeps submitted back-to-back and all watched to their terminal
 //!   result frames through the two-worker pool.
 //!
-//! Exported to `BENCH_server_path.json` by `harp bench-export` (see
-//! BENCHMARKS.md); both numbers include the durable fsync-ordered archive
-//! writes, so they track the cost of the crash-durability guarantee too.
+//! Both numbers include the durable fsync-ordered archive writes, so they
+//! track the cost of the crash-durability guarantee too.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

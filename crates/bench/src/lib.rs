@@ -2,8 +2,9 @@
 //!
 //! Each bench target under `benches/` regenerates one table or figure of the
 //! paper: it first prints the reproduced series (so `cargo bench` output
-//! doubles as the experiment log recorded in EXPERIMENTS.md) and then times
-//! the underlying computation with Criterion.
+//! doubles as an experiment log) and then times the underlying computation
+//! with Criterion. These timings are local tools for one layer; the
+//! repository's performance record is `perfbench` (see BENCHMARKS.md).
 
 use harp_sim::EvaluationConfig;
 

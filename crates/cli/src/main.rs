@@ -40,11 +40,7 @@
 //!                (Debug-rendered by the vendored offline serde_json stand-in,
 //!                not strict JSON; see vendor/serde_json)
 //!
-//! tooling subcommands (their own flags; see BENCHMARKS.md and ROADMAP.md):
-//!   bench-export [--input PATH] [--output-dir DIR]
-//!                persist each bench group's medians as BENCH_<group>.json
-//!                (default: runs `cargo bench --workspace` with the
-//!                machine-readable hook); `harp lint` checks the files
+//! tooling subcommands (their own flags; see ROADMAP.md):
 //!   sweep [--full] [--long-code] [--checkpoint-dir DIR]
 //!         [--checkpoint-interval N] [--resume] [--shard i/N] [--out PATH]
 //!                run the active-phase coverage sweep as a resumable
@@ -57,8 +53,8 @@
 //!   lint [--check] [--json PATH] [--root DIR]
 //!                static invariant analysis over the workspace source:
 //!                panic-freedom, determinism discipline, RNG salt
-//!                discipline, bench-registry coherence, scalar-twin
-//!                coverage; --check exits non-zero on findings (CI gate)
+//!                discipline, scalar-twin coverage; --check exits
+//!                non-zero on findings (CI gate)
 //!   submit [--addr HOST:PORT] [--full] [--long-code] [--rounds N]
 //!          [--codes N] [--words N] [--profilers NAME,...]
 //!                submit a sweep job to a running `harpd serve` daemon
@@ -72,7 +68,6 @@
 
 use std::process::ExitCode;
 
-mod bench_export;
 mod client_cli;
 mod sweep_cli;
 
@@ -322,19 +317,9 @@ fn run_experiment(options: &cli::Options) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The bench-export tooling subcommand has its own flag set and no
-    // experiment semantics, so it bypasses the experiment parser entirely.
-    if args.first().map(String::as_str) == Some("bench-export") {
-        return match bench_export::run(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!("usage: harp bench-export [--input PATH] [--output-dir DIR]");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    // Likewise for the workspace invariant analyzer (see crates/lint).
+    // The tooling subcommands have their own flag sets and no experiment
+    // semantics, so they bypass the experiment parser entirely. First the
+    // workspace invariant analyzer (see crates/lint).
     if args.first().map(String::as_str) == Some("lint") {
         return match harp_lint::run_cli(&args[1..]) {
             Ok(0) => ExitCode::SUCCESS,
@@ -404,7 +389,7 @@ fn main() -> ExitCode {
                  extensions|all> \
                  [--full] [--long-code] [--json PATH]\n       \
                  harp sweep [--checkpoint-dir DIR] [--resume] [--shard i/N] ... | \
-                 harp merge FILE... | harp bench-export | harp lint [--check] | \
+                 harp merge FILE... | harp lint [--check] | \
                  harp <submit|watch|jobs|cancel|shutdown> [--addr HOST:PORT] ..."
             );
             return ExitCode::from(2);

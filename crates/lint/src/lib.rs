@@ -3,11 +3,11 @@
 //!
 //! The repo's safety story rests on conventions: panic-free serving and
 //! persistence paths, determinism in the modules whose bytes get
-//! compared, salted RNG streams, a bench registry mirrored into
-//! `BENCH_*.json`, and scalar twins for every hot path. This crate checks
-//! them statically — a minimal Rust lexer ([`lexer`]) feeds a rule engine
-//! ([`rules`]) that emits file/line diagnostics ([`report`]), with a
-//! machine-readable JSON report and `--check` exit codes for CI.
+//! compared, salted RNG streams, and scalar twins for every hot path.
+//! This crate checks them statically — a minimal Rust lexer ([`lexer`])
+//! feeds a rule engine ([`rules`]) that emits file/line diagnostics
+//! ([`report`]), with a machine-readable JSON report and `--check` exit
+//! codes for CI.
 //!
 //! Run it as `harp lint` or as the standalone `harp_lint` binary:
 //!
@@ -25,13 +25,12 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use report::{AllowedSite, Diagnostic, Report};
 pub use rules::analyze;
 
-/// Repo-relative path of the scalar-twin manifest consumed by rule 5.
+/// Repo-relative path of the scalar-twin manifest consumed by rule 4.
 pub const SCALAR_TWIN_MANIFEST: &str = "tests/scalar_twins.txt";
 
 /// One source file, identified by its repo-relative `/`-separated path.
@@ -48,10 +47,6 @@ pub struct Tree {
     /// All `.rs` files under `crates/*/src`, `crates/bench/benches`, and
     /// the repo-root `tests/`, sorted by path.
     pub files: Vec<SourceFile>,
-    /// Committed `BENCH_<group>.json` files at the repo root, by filename.
-    pub bench_json: BTreeMap<String, String>,
-    /// The contents of `BENCHMARKS.md`.
-    pub benchmarks_md: String,
     /// `(line, entry)` pairs from the scalar-twin manifest.
     pub scalar_manifest: Vec<(u32, String)>,
     /// Where the manifest lives, for diagnostics.
@@ -77,18 +72,6 @@ impl Tree {
         collect_rs(root, &root.join("tests"), &mut tree.files)?;
         tree.files.sort_by(|a, b| a.rel.cmp(&b.rel));
 
-        for path in read_dir_sorted(root)? {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
-                tree.bench_json.insert(name.to_owned(), read_file(&path)?);
-            }
-        }
-        let benchmarks_md = root.join("BENCHMARKS.md");
-        if benchmarks_md.is_file() {
-            tree.benchmarks_md = read_file(&benchmarks_md)?;
-        }
         let manifest = root.join(SCALAR_TWIN_MANIFEST);
         if manifest.is_file() {
             for (index, line) in read_file(&manifest)?.lines().enumerate() {
@@ -210,11 +193,10 @@ fn usage() -> &'static str {
     "usage: harp_lint [--check] [--json PATH] [--root DIR]\n\
      \n\
      Static invariant analysis over the workspace:\n\
-     \x20 panic          panic-freedom on serving/persistence paths\n\
-     \x20 determinism    no clocks/entropy/unordered maps in deterministic modules\n\
-     \x20 rng-salt       every seed_from_u64 references a named *_SALT\n\
-     \x20 bench-registry benches <-> REGISTERED_GROUPS <-> BENCH_*.json <-> BENCHMARKS.md\n\
-     \x20 scalar-twin    every manifest entry point has a differential suite\n\
+     \x20 panic        panic-freedom on serving/persistence paths\n\
+     \x20 determinism  no clocks/entropy/unordered maps in deterministic modules\n\
+     \x20 rng-salt     every seed_from_u64 references a named *_SALT\n\
+     \x20 scalar-twin  every manifest entry point has a differential suite\n\
      \n\
      --check  exit 1 when findings exist (CI gate)\n\
      --json   also write the machine-readable report to PATH\n\

@@ -1,23 +1,16 @@
-//! The rule engine: five rules wired to the workspace's real contracts.
+//! The rule engine: four rules wired to the workspace's real contracts.
 //!
 //! Token rules (`panic`, `determinism`, `rng-salt`) run per file over the
 //! lexed token stream, skipping test spans, and honor `lint:allow`
-//! directives. Structural rules (`bench-registry`, `scalar-twin`) run once
-//! over the whole [`Tree`], cross-checking source against committed
-//! artifacts.
+//! directives. The structural `scalar-twin` rule runs once over the whole
+//! [`Tree`], cross-checking the hot-path manifest against the test suites.
 
 use crate::lexer::{in_spans, lex, match_delimiter, test_spans, Token, TokenKind};
 use crate::report::{AllowedSite, Diagnostic, Report};
 use crate::{SourceFile, Tree};
 
 /// Rule keys, in the order they are documented.
-pub const RULE_KEYS: &[&str] = &[
-    "panic",
-    "determinism",
-    "rng-salt",
-    "bench-registry",
-    "scalar-twin",
-];
+pub const RULE_KEYS: &[&str] = &["panic", "determinism", "rng-salt", "scalar-twin"];
 
 /// A parsed `// lint:allow(<rule>) <reason>` directive. It suppresses
 /// findings of `rule` on its own line and the line directly below it (so
@@ -341,219 +334,7 @@ pub fn rng_salt_rule(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: bench-registry coherence.
-// ---------------------------------------------------------------------------
-
-/// A criterion group discovered in a bench file, with its first
-/// definition site.
-struct BenchGroup {
-    name: String,
-    file: String,
-    line: u32,
-}
-
-/// Extracts group names from one bench file: `benchmark_group("g/…")` (the
-/// first string literal inside the call, which may sit inside `format!`),
-/// and `bench_function("g/…")` when the id carries a `/` (top-level
-/// criterion ids are `group/name`).
-fn extract_groups(file: &SourceFile, tokens: &[Token], out: &mut Vec<BenchGroup>) {
-    let src = &file.text;
-    let code = code_tokens(tokens);
-    for i in 0..code.len() {
-        let want_prefix_only = if code[i].is_ident(src, "benchmark_group") {
-            false
-        } else if code[i].is_ident(src, "bench_function") {
-            true
-        } else {
-            continue;
-        };
-        if !code.get(i + 1).is_some_and(|n| n.is_punct(src, '(')) {
-            continue;
-        }
-        let close = match_delimiter(&code, i + 1, '(', ')', src);
-        let Some(lit) = code[i + 2..close]
-            .iter()
-            .find(|t| matches!(t.kind, TokenKind::StrLit | TokenKind::RawStrLit))
-        else {
-            continue;
-        };
-        let inner = lit.str_inner(src);
-        if want_prefix_only && !inner.contains('/') {
-            continue; // a bare function name inside an existing group
-        }
-        let name: String = inner
-            .chars()
-            .take_while(|&c| c != '/' && c != '{')
-            .collect();
-        if !name.is_empty() && !out.iter().any(|g| g.name == name) {
-            out.push(BenchGroup {
-                name,
-                file: file.rel.clone(),
-                line: lit.line,
-            });
-        }
-    }
-}
-
-/// Finds the `REGISTERED_GROUPS` *declaration* (the occurrence followed by
-/// `:`) and returns its string entries plus the declaration site.
-fn registered_groups(
-    tree: &Tree,
-    lexed: &[Option<Vec<Token>>],
-) -> Option<(Vec<String>, String, u32)> {
-    for (file, tokens) in tree.files.iter().zip(lexed) {
-        let Some(tokens) = tokens else { continue };
-        let src = &file.text;
-        let code = code_tokens(tokens);
-        for i in 0..code.len() {
-            if !code[i].is_ident(src, "REGISTERED_GROUPS")
-                || !code.get(i + 1).is_some_and(|n| n.is_punct(src, ':'))
-            {
-                continue;
-            }
-            let mut names = Vec::new();
-            for t in &code[i..] {
-                if t.is_punct(src, ';') {
-                    break;
-                }
-                if matches!(t.kind, TokenKind::StrLit | TokenKind::RawStrLit) {
-                    names.push(t.str_inner(src).to_owned());
-                }
-            }
-            return Some((names, file.rel.clone(), code[i].line));
-        }
-    }
-    None
-}
-
-/// The bytes after the first `key` in `text`.
-fn after<'t>(text: &'t str, key: &str) -> Option<&'t [u8]> {
-    text.split_once(key).map(|(_, rest)| rest.as_bytes())
-}
-
-/// Schema checks for one committed `BENCH_<name>.json`, written against
-/// the layout `harp bench-export` renders: the right group, a non-empty
-/// `git_rev`, a `YYYY-MM-DD` `date`, and at least one entry line carrying
-/// an `id` and a numeric `median_ns`.
-fn bench_json_problems(name: &str, body: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !body.contains(&format!("\"group\": \"{name}\"")) {
-        problems.push(format!("does not declare `\"group\": \"{name}\"`"));
-    }
-    if !body.contains("\"git_rev\": \"") || body.contains("\"git_rev\": \"\"") {
-        problems.push("has no non-empty `git_rev`".to_owned());
-    }
-    let is_date = |d: &[u8]| {
-        d.len() > 10
-            && d[10] == b'"'
-            && d[..10].iter().enumerate().all(|(i, c)| match i {
-                4 | 7 => *c == b'-',
-                _ => c.is_ascii_digit(),
-            })
-    };
-    if after(body, "\"date\": \"").is_none_or(|d| !is_date(d)) {
-        problems.push("has no `date` in YYYY-MM-DD form".to_owned());
-    }
-    let has_median = |line: &str| {
-        line.contains("\"id\": \"")
-            && after(line, "\"median_ns\": ")
-                .is_some_and(|v| v.first().is_some_and(u8::is_ascii_digit))
-    };
-    if !body.lines().any(has_median) {
-        problems.push("has no entry with an `id` and a `median_ns`".to_owned());
-    }
-    problems
-}
-
-pub fn bench_registry_rule(tree: &Tree, lexed: &[Option<Vec<Token>>], report: &mut Report) {
-    let mut groups: Vec<BenchGroup> = Vec::new();
-    for (file, tokens) in tree.files.iter().zip(lexed) {
-        if !file.rel.starts_with("crates/bench/benches/") {
-            continue;
-        }
-        if let Some(tokens) = tokens {
-            extract_groups(file, tokens, &mut groups);
-        }
-    }
-    let Some((registered, reg_file, reg_line)) = registered_groups(tree, lexed) else {
-        report.diagnostics.push(Diagnostic {
-            file: "crates/cli/src/bench_export.rs".to_owned(),
-            line: 1,
-            rule: "bench-registry",
-            message: "REGISTERED_GROUPS declaration not found anywhere in the tree".to_owned(),
-        });
-        return;
-    };
-    for group in &groups {
-        if !registered.iter().any(|r| r == &group.name) {
-            report.diagnostics.push(Diagnostic {
-                file: group.file.clone(),
-                line: group.line,
-                rule: "bench-registry",
-                message: format!(
-                    "criterion group `{}` is not listed in REGISTERED_GROUPS ({reg_file})",
-                    group.name
-                ),
-            });
-        }
-    }
-    for name in &registered {
-        if !groups.iter().any(|g| &g.name == name) {
-            report.diagnostics.push(Diagnostic {
-                file: reg_file.clone(),
-                line: reg_line,
-                rule: "bench-registry",
-                message: format!(
-                    "registered group `{name}` has no criterion group under crates/bench/benches"
-                ),
-            });
-        }
-        let json_name = format!("BENCH_{name}.json");
-        match tree.bench_json.get(&json_name) {
-            None => report.diagnostics.push(Diagnostic {
-                file: reg_file.clone(),
-                line: reg_line,
-                rule: "bench-registry",
-                message: format!("registered group `{name}` has no committed {json_name}"),
-            }),
-            Some(body) => {
-                for problem in bench_json_problems(name, body) {
-                    report.diagnostics.push(Diagnostic {
-                        file: json_name.clone(),
-                        line: 1,
-                        rule: "bench-registry",
-                        message: format!("{json_name} {problem}"),
-                    });
-                }
-            }
-        }
-        if !tree.benchmarks_md.contains(name) {
-            report.diagnostics.push(Diagnostic {
-                file: "BENCHMARKS.md".to_owned(),
-                line: 1,
-                rule: "bench-registry",
-                message: format!("BENCHMARKS.md never mentions registered group `{name}`"),
-            });
-        }
-    }
-    for json_name in tree.bench_json.keys() {
-        let stem = json_name
-            .strip_prefix("BENCH_")
-            .and_then(|s| s.strip_suffix(".json"))
-            .unwrap_or(json_name);
-        if !registered.iter().any(|r| r == stem) {
-            report.diagnostics.push(Diagnostic {
-                file: json_name.clone(),
-                line: 1,
-                rule: "bench-registry",
-                message: format!("stray {json_name}: `{stem}` is not in REGISTERED_GROUPS"),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: scalar-twin coverage.
+// Rule 4: scalar-twin coverage.
 // ---------------------------------------------------------------------------
 
 pub fn scalar_twin_rule(tree: &Tree, lexed: &[Option<Vec<Token>>], report: &mut Report) {
@@ -623,7 +404,6 @@ pub fn analyze(tree: &Tree) -> Report {
         determinism_rule(file, tokens, &spans, &allows, &mut report);
         rng_salt_rule(file, tokens, &spans, &allows, &mut report);
     }
-    bench_registry_rule(tree, &lexed, &mut report);
     scalar_twin_rule(tree, &lexed, &mut report);
     report.finish();
     report

@@ -4,8 +4,8 @@
 //! Trees are fabricated in memory (the [`Tree`] fields are plain data), so
 //! each fixture controls exactly what the rules see. Because [`analyze`]
 //! always runs every rule — and a skeletal tree trivially violates the
-//! structural ones (no registry, empty manifest) — assertions filter the
-//! report by rule key instead of using `is_clean`.
+//! structural one (an empty manifest) — assertions filter the report by
+//! rule key instead of using `is_clean`.
 
 use harp_lint::{analyze, Diagnostic, Report, SourceFile, Tree};
 
@@ -252,160 +252,7 @@ fn rng_salt_rule_skips_tests_and_honors_allows() {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: bench-registry
-// ---------------------------------------------------------------------------
-
-/// A schema-valid `BENCH_<group>.json` body in the layout `harp
-/// bench-export` renders.
-fn bench_json(group: &str) -> String {
-    format!(
-        "{{\n  \"group\": \"{group}\",\n  \"git_rev\": \"abc1234\",\n  \
-         \"date\": \"2026-08-08\",\n  \"entries\": [\n    \
-         {{\"id\": \"alpha/decode\", \"median_ns\": 12.000, \"iterations\": 40}}\n  ]\n}}\n"
-    )
-}
-
-/// A coherent single-group tree: bench target, registry, JSON, and docs
-/// all agree on `alpha`.
-fn registry_tree() -> Tree {
-    let mut t = tree(&[
-        (
-            "crates/bench/benches/alpha.rs",
-            "fn run(c: &mut Criterion) {\n    \
-             let mut g = c.benchmark_group(format!(\"alpha/{label}\"));\n    \
-             g.bench_function(\"decode\", |b| b.iter(work));\n}\n",
-        ),
-        (
-            "crates/cli/src/bench_export.rs",
-            "pub const REGISTERED_GROUPS: &[&str] = &[\"alpha\"];\n",
-        ),
-    ]);
-    t.bench_json
-        .insert("BENCH_alpha.json".to_owned(), bench_json("alpha"));
-    t.benchmarks_md = "The `alpha` group measures the decode path.".to_owned();
-    t
-}
-
-#[test]
-fn bench_registry_accepts_a_coherent_tree() {
-    let report = analyze(&registry_tree());
-    assert!(
-        diags(&report, "bench-registry").is_empty(),
-        "{}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn bench_registry_flags_an_unregistered_group() {
-    let mut t = registry_tree();
-    t.files[0]
-        .text
-        .push_str("fn more(c: &mut Criterion) {\n    c.benchmark_group(\"beta/x\");\n}\n");
-    let report = analyze(&t);
-    let found = diags(&report, "bench-registry");
-    assert_eq!(found.len(), 1, "{}", report.render_text());
-    assert!(found[0].message.contains("`beta`"));
-    assert_eq!(found[0].file, "crates/bench/benches/alpha.rs");
-}
-
-#[test]
-fn bench_registry_flags_a_registered_group_with_no_backing() {
-    let mut t = registry_tree();
-    t.files[1].text =
-        "pub const REGISTERED_GROUPS: &[&str] = &[\"alpha\", \"gamma\"];\n".to_owned();
-    let report = analyze(&t);
-    let found = diags(&report, "bench-registry");
-    // No bench target, no BENCH_gamma.json, no BENCHMARKS.md mention.
-    assert_eq!(found.len(), 3, "{}", report.render_text());
-    assert!(found.iter().all(|d| d.message.contains("gamma")));
-}
-
-#[test]
-fn bench_registry_flags_json_group_mismatch_and_strays() {
-    let mut t = registry_tree();
-    t.bench_json
-        .insert("BENCH_alpha.json".to_owned(), bench_json("other"));
-    t.bench_json
-        .insert("BENCH_zzz.json".to_owned(), "{}".to_owned());
-    let report = analyze(&t);
-    let found = diags(&report, "bench-registry");
-    assert_eq!(found.len(), 2, "{}", report.render_text());
-    assert!(found.iter().any(|d| d.file == "BENCH_alpha.json"));
-    assert!(found
-        .iter()
-        .any(|d| d.message.contains("stray BENCH_zzz.json")));
-}
-
-#[test]
-fn bench_registry_flags_bench_json_schema_violations() {
-    let valid = bench_json("alpha");
-    for (broken, problem) in [
-        (
-            valid.replace("\"git_rev\": \"abc1234\"", "\"git_rev\": \"\""),
-            "git_rev",
-        ),
-        (valid.replace("\"git_rev\": \"abc1234\",\n", ""), "git_rev"),
-        (valid.replace("2026-08-08", "2026-8-08"), "date"),
-        (valid.replace("2026-08-08", "08/08/2026"), "date"),
-        (
-            valid.replace("\"median_ns\": 12.000", "\"mean_ns\": 12.000"),
-            "median_ns",
-        ),
-        (
-            valid.replace("\"median_ns\": 12.000", "\"median_ns\": null"),
-            "median_ns",
-        ),
-        (
-            valid.replace(
-                "{\"id\": \"alpha/decode\", \"median_ns\": 12.000, \"iterations\": 40}",
-                "",
-            ),
-            "median_ns",
-        ),
-    ] {
-        assert_ne!(broken, valid, "fixture edit for {problem} must apply");
-        let mut t = registry_tree();
-        t.bench_json.insert("BENCH_alpha.json".to_owned(), broken);
-        let report = analyze(&t);
-        let found = diags(&report, "bench-registry");
-        assert_eq!(found.len(), 1, "{problem}: {}", report.render_text());
-        assert_eq!(found[0].file, "BENCH_alpha.json");
-        assert!(found[0].message.contains(problem), "{}", found[0].message);
-    }
-}
-
-#[test]
-fn bench_registry_reads_groups_from_slashed_bench_function_ids() {
-    let mut t = registry_tree();
-    // Replace the benchmark_group call with a top-level slashed id: the
-    // group is still discoverable, and a bare id defines no group.
-    t.files[0].text = "fn run(c: &mut Criterion) {\n    \
-                       c.bench_function(\"alpha/decode\", |b| b.iter(work));\n    \
-                       c.bench_function(\"not_a_group\", |b| b.iter(work));\n}\n"
-        .to_owned();
-    let report = analyze(&t);
-    assert!(
-        diags(&report, "bench-registry").is_empty(),
-        "{}",
-        report.render_text()
-    );
-}
-
-#[test]
-fn bench_registry_reports_a_missing_registry() {
-    let mut t = registry_tree();
-    t.files.remove(1);
-    let report = analyze(&t);
-    let found = diags(&report, "bench-registry");
-    assert_eq!(found.len(), 1);
-    assert!(found[0]
-        .message
-        .contains("REGISTERED_GROUPS declaration not found"));
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: scalar-twin
+// Rule 4: scalar-twin
 // ---------------------------------------------------------------------------
 
 #[test]

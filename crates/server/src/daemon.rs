@@ -24,9 +24,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use harp_ecc::HammingCode;
 use harp_profiler::ProfilerKind;
-use harp_sim::checkpoint::{read_manifest, write_json_atomically, ResumableSweep};
+use harp_sim::checkpoint::{hamming_factory, read_manifest, write_json_atomically, ResumableSweep};
 use harp_sim::minijson::{Json, NonFiniteFloat};
 use harp_sim::EvaluationConfig;
 
@@ -351,19 +350,14 @@ fn submit_job(
     config: &EvaluationConfig,
     profilers: &[ProfilerKind],
 ) -> Result<u64, String> {
-    let data_bits = config.data_bits;
-    HammingCode::random(data_bits, 0)
-        .map_err(|e| format!("data_bits {data_bits} does not yield a valid code: {e}"))?;
+    let make_code = hamming_factory(config.data_bits)?;
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let dir = shared.config.state_dir.join(format!("JOB_{id}"));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     // The round-0 archive plus the job record make the job durable *before*
     // the acknowledgement: once the submitter sees an id, a killed daemon
     // will finish the job after restart.
-    let sweep = ResumableSweep::new(config, profilers, |seed| {
-        // lint:allow(panic) validity is seed-independent and was probed above; the factory closure has no error channel
-        HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
-    });
+    let sweep = ResumableSweep::new(config, profilers, make_code);
     sweep
         .write_archive(&dir)
         .map_err(|e| format!("could not write job archive: {e}"))?;
@@ -458,14 +452,9 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 /// archive must fail the job, never the daemon.
 fn drive_job(shared: &Shared, cell: &JobCell) -> Result<(), String> {
     let manifest = read_manifest(&cell.dir).map_err(|e| e.to_string())?;
-    let data_bits = manifest.config.data_bits;
-    HammingCode::random(data_bits, 0)
-        .map_err(|e| format!("archived data_bits {data_bits} does not yield a valid code: {e}"))?;
-    let mut sweep = ResumableSweep::resume(&cell.dir, |seed| {
-        // lint:allow(panic) validity is seed-independent and was probed above; the factory closure has no error channel
-        HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
-    })
-    .map_err(|e| e.to_string())?;
+    let make_code = hamming_factory(manifest.config.data_bits)
+        .map_err(|e| format!("archived configuration: {e}"))?;
+    let mut sweep = ResumableSweep::resume(&cell.dir, make_code).map_err(|e| e.to_string())?;
     push_snapshot(cell, &sweep)?;
     let interval = shared.config.checkpoint_interval.max(1);
     while !sweep.is_complete() {

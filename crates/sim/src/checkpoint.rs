@@ -16,7 +16,8 @@
 //!   per code group plus a manifest, written durably (temp file, fsync,
 //!   rename, directory fsync — see [`write_json_atomically`]) so a crash
 //!   mid-checkpoint, including power loss, never corrupts a resumable
-//!   archive. Schema versioned like the `BENCH_<group>.json` contract.
+//!   archive. Every file carries [`CHECKPOINT_SCHEMA_VERSION`], and
+//!   readers reject any other version.
 //! * [`ShardSpec`] worker mode: `--shard i/N` assigns each worker the code
 //!   groups whose **global group index** satisfies `g % N == i`. The group
 //!   index `g = cell_index * num_codes + code_index` depends only on the
@@ -120,6 +121,24 @@ impl std::fmt::Display for ShardSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
     }
+}
+
+/// The SEC Hamming code factory a [`ResumableSweep`] over `data_bits`-bit
+/// datawords takes. Whether [`HammingCode::random`] succeeds depends only on
+/// `data_bits` (the seed only shuffles candidate columns), so one probe here
+/// clears every per-group construction, and a bad `data_bits` from an
+/// archive or a wire payload surfaces as an error instead of a panic.
+///
+/// # Errors
+///
+/// Returns a message when `data_bits` yields no valid Hamming code.
+pub fn hamming_factory(data_bits: usize) -> Result<impl Fn(u64) -> HammingCode, String> {
+    HammingCode::random(data_bits, 0)
+        .map_err(|e| format!("data_bits {data_bits} does not yield a valid Hamming code: {e}"))?;
+    Ok(move |seed| {
+        // lint:allow(panic) validity is seed-independent and was probed above; a ResumableSweep factory has no error channel
+        HammingCode::random(data_bits, seed).expect("probed above, seed-independent")
+    })
 }
 
 /// One resumable work unit: all profilers over one code group of one sweep
@@ -299,12 +318,12 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         for unit in &self.units {
             let round = unit.runs.first().map_or(self.round, |run| run.round());
             let json = encode_group(unit, round);
-            write_atomically(
+            write_json_atomically(
                 &dir.join(group_file_name(unit.cell_index, unit.code_index)),
                 &json,
             )?;
         }
-        write_atomically(&dir.join(MANIFEST_FILE), &self.manifest_json())
+        write_json_atomically(&dir.join(MANIFEST_FILE), &self.manifest_json())
     }
 
     fn manifest_json(&self) -> Json {
@@ -516,7 +535,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        write_atomically(path, &json)
+        write_json_atomically(path, &json)
     }
 }
 
@@ -771,10 +790,6 @@ impl ArchiveFs for RealFs {
 /// Returns any I/O error from writing, syncing, or renaming.
 pub fn write_json_atomically(path: &Path, json: &Json) -> io::Result<()> {
     write_durably_with(&mut RealFs, path, json)
-}
-
-fn write_atomically(path: &Path, json: &Json) -> io::Result<()> {
-    write_json_atomically(path, json)
 }
 
 fn write_durably_with<F: ArchiveFs>(fs: &mut F, path: &Path, json: &Json) -> io::Result<()> {
@@ -1546,6 +1561,15 @@ mod tests {
         let err = merge_shards(&paths[..1]).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn decode_config_rejects_an_oversized_dataword() {
+        let mut config = tiny_config();
+        config.data_bits = 1 << 30;
+        let err = decode_config(&encode_config(&config)).unwrap_err();
+        assert!(err.contains("invalid configuration"), "{err}");
+        assert!(err.contains("data_bits"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,12 @@ use serde::{Deserialize, Serialize};
 
 use harp_memsim::pattern::DataPattern;
 
+/// The largest dataword length [`EvaluationConfig::check`] accepts. The
+/// repository runs 16- to 128-bit datawords; the cap only exists so that a
+/// configuration from an archive or a wire payload cannot ask the code
+/// generator for an allocation that kills the process.
+pub const MAX_DATA_BITS: usize = 1024;
+
 /// Parameters shared by the Monte-Carlo experiments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvaluationConfig {
@@ -100,11 +106,17 @@ impl EvaluationConfig {
     /// # Errors
     ///
     /// Returns a message when the configuration is unusable (zero samples,
-    /// probabilities outside `[0, 1]`, or error counts that exceed the
-    /// exhaustive-analysis limit).
+    /// a dataword longer than [`MAX_DATA_BITS`], probabilities outside
+    /// `[0, 1]`, or error counts that exceed the exhaustive-analysis limit).
     pub fn check(&self) -> Result<(), String> {
         if self.data_bits == 0 {
             return Err("data_bits must be nonzero".to_owned());
+        }
+        if self.data_bits > MAX_DATA_BITS {
+            return Err(format!(
+                "data_bits {} exceeds the limit of {MAX_DATA_BITS}",
+                self.data_bits
+            ));
         }
         if self.num_codes == 0 {
             return Err("num_codes must be nonzero".to_owned());
@@ -231,6 +243,13 @@ mod tests {
         let mut config = EvaluationConfig::quick();
         config.rounds = 0;
         assert!(config.check().is_err());
+        // `data_bits` is capped so that untrusted input cannot ask the code
+        // generator for gigabytes of candidate columns.
+        let mut config = EvaluationConfig::quick();
+        config.data_bits = MAX_DATA_BITS;
+        assert_eq!(config.check(), Ok(()));
+        config.data_bits = MAX_DATA_BITS + 1;
+        assert!(config.check().unwrap_err().contains("exceeds the limit"));
         let mut config = EvaluationConfig::quick();
         config.probabilities = vec![-0.5];
         assert!(config.check().unwrap_err().contains("outside [0, 1]"));

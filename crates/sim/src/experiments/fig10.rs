@@ -43,7 +43,7 @@ pub const PROFILERS: [ProfilerKind; 4] = [
 /// laptop-scale population needs proportionally higher RBERs for any word to
 /// contain at-risk bits at all. The values below keep the expected number of
 /// at-risk bits per word in the same regime as the paper's evaluation while
-/// remaining runnable in seconds (see EXPERIMENTS.md).
+/// remaining runnable in seconds.
 pub const DEFAULT_RBERS: [f64; 3] = [0.05, 0.02, 0.01];
 
 /// BER series for one (profiler, RBER, probability) configuration.

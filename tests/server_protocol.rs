@@ -301,15 +301,25 @@ fn protocol_misuse_answers_with_errors_on_a_live_connection() {
     assert_eq!(answer.get("type").and_then(Json::as_str), Some("jobs"));
     drop(raw);
 
-    // Submit-side validation: the bugfixed config check rejects unusable
-    // configurations at decode time, before any job state exists.
+    // Submit-side validation: the config check rejects unusable
+    // configurations at decode time with an error frame, before any job
+    // state exists. An oversized `data_bits` must never reach the daemon's
+    // code probe, which would allocate ~2^31 candidate columns.
     let mut client = connect(&daemon);
-    let mut bad = quick_scale(0);
-    bad.rounds = 0;
-    let err = client
-        .submit(&bad, &[ProfilerKind::HarpU])
-        .expect_err("rounds=0 must be rejected");
-    assert!(err.contains("rounds"), "{err}");
+    let no_rounds = EvaluationConfig {
+        rounds: 0,
+        ..quick_scale(0)
+    };
+    let oversized = EvaluationConfig {
+        data_bits: 1 << 30,
+        ..quick_scale(0)
+    };
+    for (bad, needle) in [(no_rounds, "rounds"), (oversized, "data_bits")] {
+        let err = client
+            .submit(&bad, &[ProfilerKind::HarpU])
+            .expect_err("an unusable configuration must be rejected");
+        assert!(err.contains(needle), "{err}");
+    }
     assert!(client.jobs().expect("connection still live").is_empty());
 
     connect(&daemon).shutdown().expect("shutdown");
