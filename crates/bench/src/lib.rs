@@ -1,14 +1,19 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each bench target under `benches/` regenerates one table or figure of the
-//! paper: it first prints the reproduced series (so `cargo bench` output
-//! doubles as an experiment log) and then times the underlying computation
-//! with Criterion. These timings are local tools for one layer; the
-//! repository's performance record is `perfbench` (see BENCHMARKS.md).
+//! The bench targets under `benches/` time single layers that the
+//! repository benchmark, `perfbench` (see BENCHMARKS.md), cannot see inside:
+//! the syndrome kernel, bursts, the module and controller paths,
+//! checkpointing, the `harpd` serving path, live traffic, BEER
+//! reconstruction and the core operations. Two more regenerate results
+//! perfbench does not time: `fig09_secondary_ecc` (for its secondary-ECC
+//! strength ablation) and `ext_experiments` (the extensions). They print
+//! their series before timing them. The paper's figures and tables are
+//! printed by `harp` and timed by perfbench's `figures` workload. These
+//! timings are local tools; perfbench is the performance record.
 
 use harp_sim::EvaluationConfig;
 
-/// The Monte-Carlo configuration used by the figure benches.
+/// The Monte-Carlo configuration used by the experiment benches.
 ///
 /// Small enough that a full `cargo bench --workspace` finishes in minutes,
 /// large enough that every qualitative trend from the paper is visible in the

@@ -10,7 +10,7 @@
 //! same bytes a single-process sweep would persist.
 
 use harp_profiler::ProfilerKind;
-use harp_sim::checkpoint::{decode_config, encode_config};
+use harp_sim::checkpoint::{decode_config, decode_profilers, encode_config, encode_profilers};
 use harp_sim::minijson::Json;
 use harp_sim::EvaluationConfig;
 
@@ -80,7 +80,8 @@ pub fn encode_request(request: &Request) -> Json {
 /// # Errors
 ///
 /// Returns a user-facing description of the first problem: unknown type,
-/// missing field, or an unusable embedded configuration.
+/// missing field, an unusable embedded configuration, or an empty or
+/// unknown profiler lineup.
 pub fn decode_request(frame: &Json) -> Result<Request, String> {
     let kind = frame
         .get("type")
@@ -93,18 +94,22 @@ pub fn decode_request(frame: &Json) -> Result<Request, String> {
             .ok_or_else(|| format!("'{kind}' request has no numeric 'job'"))
     };
     match kind {
-        "submit" => Ok(Request::Submit {
-            config: decode_config(
+        "submit" => {
+            let config = decode_config(
                 frame
                     .get("config")
                     .ok_or("submit request has no 'config'")?,
-            )?,
-            profilers: decode_profilers(
+            )?;
+            let profilers = decode_profilers(
                 frame
                     .get("profilers")
                     .ok_or("submit request has no 'profilers'")?,
-            )?,
-        }),
+            )?;
+            if profilers.is_empty() {
+                return Err("profiler lineup is empty".to_owned());
+            }
+            Ok(Request::Submit { config, profilers })
+        }
         "status" => Ok(Request::Status { job: job()? }),
         "list" => Ok(Request::List),
         "watch" => Ok(Request::Watch { job: job()? }),
@@ -112,38 +117,6 @@ pub fn decode_request(frame: &Json) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!("unknown request type '{other}'")),
     }
-}
-
-/// Encodes a profiler lineup as an array of kind names.
-pub fn encode_profilers(profilers: &[ProfilerKind]) -> Json {
-    Json::Array(
-        profilers
-            .iter()
-            .map(|kind| Json::Str(kind.name().to_owned()))
-            .collect(),
-    )
-}
-
-/// Decodes a profiler lineup written by [`encode_profilers`].
-///
-/// # Errors
-///
-/// Returns a message naming the first unknown profiler, or when the lineup
-/// is empty or not an array.
-pub fn decode_profilers(json: &Json) -> Result<Vec<ProfilerKind>, String> {
-    let profilers: Vec<ProfilerKind> = json
-        .as_array()
-        .ok_or("profilers is not an array")?
-        .iter()
-        .map(|v| {
-            let name = v.as_str().ok_or("profiler name is not a string")?;
-            ProfilerKind::from_name(name).ok_or_else(|| format!("unknown profiler '{name}'"))
-        })
-        .collect::<Result<_, String>>()?;
-    if profilers.is_empty() {
-        return Err("profiler lineup is empty".to_owned());
-    }
-    Ok(profilers)
 }
 
 /// Builds an `error` response frame.

@@ -38,13 +38,12 @@ use std::path::{Path, PathBuf};
 use harp_ecc::{HammingCode, LinearBlockCode};
 use harp_memsim::pattern::DataPattern;
 use harp_profiler::{
-    BatchRun, BatchWord, CampaignBatch, CampaignCheckpoint, CoverageSeries, ProfilerKind,
-    ProfilerState, WordCheckpoint,
+    BatchRun, CampaignCheckpoint, CoverageSeries, ProfilerKind, ProfilerState, WordCheckpoint,
 };
 use rand_chacha::ChaCha8RngState;
 
 use crate::config::EvaluationConfig;
-use crate::experiments::sweep::{CoverageSweep, WordEvaluation};
+use crate::experiments::sweep::{word_evaluations, CodeGroup, CoverageSweep, WordEvaluation};
 use crate::minijson::{Json, NonFiniteFloat};
 use crate::report::{fixed, TextTable};
 use crate::runner::parallel_map_mut;
@@ -142,7 +141,7 @@ pub fn hamming_factory(data_bits: usize) -> Result<impl Fn(u64) -> HammingCode, 
 }
 
 /// One resumable work unit: all profilers over one code group of one sweep
-/// cell.
+/// cell, next to the group's batch and ground truth.
 #[derive(Debug)]
 struct SweepUnit<C: LinearBlockCode> {
     group_index: usize,
@@ -150,7 +149,7 @@ struct SweepUnit<C: LinearBlockCode> {
     code_index: usize,
     error_count: usize,
     probability: f64,
-    batch: CampaignBatch<C>,
+    group: CodeGroup<C>,
     runs: Vec<BatchRun<C>>,
 }
 
@@ -201,22 +200,10 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                     if !shard.owns(group_index) {
                         continue;
                     }
-                    let batch = CampaignBatch::new(
-                        group[0].code.clone(),
-                        group
-                            .iter()
-                            .map(|sample| {
-                                BatchWord::new(
-                                    sample.faults.clone(),
-                                    config.pattern,
-                                    sample.campaign_seed,
-                                )
-                            })
-                            .collect(),
-                    );
+                    let group = CodeGroup::new(group, config.pattern);
                     let runs = profilers
                         .iter()
-                        .map(|&kind| BatchRun::new(&batch, kind))
+                        .map(|&kind| BatchRun::new(&group.batch, kind))
                         .collect();
                     units.push(SweepUnit {
                         group_index,
@@ -224,7 +211,7 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
                         code_index,
                         error_count,
                         probability,
-                        batch,
+                        group,
                         runs,
                     });
                 }
@@ -389,14 +376,15 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
             // (`BatchRun::resume` asserts the word count; the predicting
             // profiler kinds feed their restored sets into exhaustive
             // error-space enumeration).
-            let codeword_len = unit.batch.code().codeword_len();
+            let batch = &unit.group.batch;
+            let codeword_len = batch.code().codeword_len();
             for checkpoint in &checkpoints {
-                validate_campaign_checkpoint(checkpoint, round, unit.batch.len(), codeword_len)
+                validate_campaign_checkpoint(checkpoint, round, batch.len(), codeword_len)
                     .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
             }
             unit.runs = checkpoints
                 .iter()
-                .map(|checkpoint| BatchRun::resume(&unit.batch, checkpoint))
+                .map(|checkpoint| BatchRun::resume(batch, checkpoint))
                 .collect();
         }
         sweep.round = manifest.round;
@@ -407,18 +395,15 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
     /// lineup order, the mean direct coverage across every word of every
     /// owned group (0.0 before any rounds have run). This is what the
     /// daemon streams to `harp watch` clients between checkpoints — cheap
-    /// enough to compute every round at quick scale, and derived from the
-    /// same per-round snapshots the final series are.
+    /// enough to compute every round at quick scale, and scored by the same
+    /// pass, against the same stored ground truth, as the final series.
     pub fn progress(&self) -> Vec<(ProfilerKind, f64)> {
         let mut sums = vec![0.0_f64; self.profilers.len()];
         let mut words = 0usize;
         for unit in &self.units {
-            let per_profiler: Vec<_> = unit.runs.iter().map(|run| run.results()).collect();
-            for word in 0..unit.batch.len() {
-                let space = unit.batch.error_space(word);
+            for word_series in unit.group.score(unit.runs.iter().map(BatchRun::results)) {
                 words += 1;
-                for (sum, results) in sums.iter_mut().zip(&per_profiler) {
-                    let series = CoverageSeries::from_campaign(&results[word], &space);
+                for (sum, series) in sums.iter_mut().zip(&word_series) {
                     *sum += series.final_direct_coverage();
                 }
             }
@@ -446,19 +431,14 @@ impl<C: LinearBlockCode + Clone + Send + 'static> ResumableSweep<C> {
         self.units
             .iter()
             .map(|unit| {
-                let per_profiler: Vec<_> = unit.runs.iter().map(|run| run.results()).collect();
-                let mut evaluations = Vec::with_capacity(unit.batch.len() * self.profilers.len());
-                for word in 0..unit.batch.len() {
-                    let space = unit.batch.error_space(word);
-                    for (&profiler, results) in self.profilers.iter().zip(&per_profiler) {
-                        evaluations.push(WordEvaluation {
-                            error_count: unit.error_count,
-                            probability: unit.probability,
-                            profiler,
-                            series: CoverageSeries::from_campaign(&results[word], &space),
-                        });
-                    }
-                }
+                let per_word = unit.group.score(unit.runs.iter().map(BatchRun::results));
+                let evaluations = word_evaluations(
+                    per_word,
+                    &self.profilers,
+                    unit.error_count,
+                    unit.probability,
+                )
+                .collect();
                 (unit.group_index, evaluations)
             })
             .collect()
@@ -884,7 +864,9 @@ fn decode_shard(json: &Json) -> Result<ShardSpec, String> {
     ShardSpec::parse(json.as_str().ok_or("shard is not a string")?)
 }
 
-fn encode_profilers(profilers: &[ProfilerKind]) -> Json {
+/// Encodes a profiler lineup as an array of kind names (the archive
+/// manifest, shard outputs and `harpd` submit frames all carry it).
+pub fn encode_profilers(profilers: &[ProfilerKind]) -> Json {
     Json::Array(
         profilers
             .iter()
@@ -893,7 +875,13 @@ fn encode_profilers(profilers: &[ProfilerKind]) -> Json {
     )
 }
 
-fn decode_profilers(json: &Json) -> Result<Vec<ProfilerKind>, String> {
+/// Decodes a profiler lineup written by [`encode_profilers`].
+///
+/// # Errors
+///
+/// Returns a message naming the first unknown profiler, or when the lineup
+/// is not an array.
+pub fn decode_profilers(json: &Json) -> Result<Vec<ProfilerKind>, String> {
     json.as_array()
         .ok_or("profilers is not an array")?
         .iter()
@@ -1414,6 +1402,7 @@ pub fn decode_sweep(json: &Json) -> Result<CoverageSweep, String> {
 mod tests {
     use super::*;
     use crate::experiments::sweep::run_coverage_sweep;
+    use harp_profiler::{BatchWord, CampaignBatch};
 
     fn tiny_config() -> EvaluationConfig {
         EvaluationConfig {

@@ -20,13 +20,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use harp_profiler::{CoverageSeries, ProfilerKind};
+use harp_profiler::ProfilerKind;
 
 use crate::config::EvaluationConfig;
 use crate::experiments::sweep;
 use crate::report::{percent, scientific, TextTable};
-use crate::runner::parallel_map;
-use crate::sample::{group_by_code, sample_retention_words, shard_groups};
+use crate::sample::sample_retention_words;
 use crate::stats::round_checkpoints;
 
 /// Profilers compared in the case study.
@@ -94,19 +93,8 @@ pub fn run_with_rbers(config: &EvaluationConfig, rbers: &[f64]) -> Fig10Result {
     for &rber in rbers {
         for &probability in &config.probabilities {
             let samples = sample_retention_words(config, rber, probability);
-            // Per word and profiler: the per-round coverage series. Each
-            // code group runs as one cell-batched campaign per profiler
-            // (one burst scrubs the whole group every round), sharded
-            // across worker threads by group.
-            let groups = shard_groups(
-                group_by_code(&samples),
-                crate::runner::effective_threads(config.threads),
-            );
-            let per_group: Vec<Vec<Vec<CoverageSeries>>> =
-                parallel_map(&groups, config.threads, |group| {
-                    sweep::code_group_series(group, &PROFILERS, config.pattern, config.rounds)
-                });
-            let per_word: Vec<Vec<CoverageSeries>> = per_group.into_iter().flatten().collect();
+            // Per word and profiler: the per-round coverage series.
+            let per_word = sweep::cell_series(config, &samples, &PROFILERS);
 
             for (profiler_index, &profiler) in PROFILERS.iter().enumerate() {
                 let mut ber_before = Vec::new();

@@ -18,8 +18,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use harp_ecc::{HammingCode, LinearBlockCode};
-use harp_profiler::{BatchWord, CampaignBatch, CoverageSeries, ProfilerKind};
+use harp_ecc::{ErrorSpace, HammingCode, LinearBlockCode};
+use harp_memsim::pattern::DataPattern;
+use harp_profiler::{BatchWord, CampaignBatch, CampaignResult, CoverageSeries, ProfilerKind};
 
 use crate::config::EvaluationConfig;
 use crate::runner::parallel_map;
@@ -80,69 +81,99 @@ impl CoverageSweep {
     }
 }
 
-/// Runs every requested profiler against one code group (all words of a
-/// sweep cell sharing a code) as cell-batched campaigns — one
-/// [`CampaignBatch`] per profiler, one burst per round — and scores each
-/// word against its ground truth.
-///
-/// Returns the coverage series in word-major order
-/// (`result[word][profiler]`). The ground truth is enumerated once per word
-/// and shared across profilers, and each profiler's full per-round snapshots
-/// are reduced to compact series as soon as its batch completes, so only the
-/// series stay alive across profilers. This is the single cell-batched
-/// evaluation pipeline behind the coverage sweep *and* the fig10 case study.
-pub(crate) fn code_group_series<C: LinearBlockCode + Clone + Send + 'static>(
-    group: &[WordSample<C>],
-    profilers: &[ProfilerKind],
-    pattern: harp_memsim::pattern::DataPattern,
-    rounds: usize,
-) -> Vec<Vec<CoverageSeries>> {
-    let batch = CampaignBatch::new(
-        group[0].code.clone(),
-        group
-            .iter()
-            .map(|sample| BatchWord::new(sample.faults.clone(), pattern, sample.campaign_seed))
-            .collect(),
-    );
-    let spaces: Vec<harp_ecc::ErrorSpace> = (0..group.len())
-        .map(|word| batch.error_space(word))
-        .collect();
-    let mut per_word: Vec<Vec<CoverageSeries>> = (0..group.len())
-        .map(|_| Vec::with_capacity(profilers.len()))
-        .collect();
-    for &profiler in profilers {
-        let results = batch.run(profiler, rounds);
-        for ((result, space), word_series) in results.iter().zip(&spaces).zip(per_word.iter_mut()) {
-            word_series.push(CoverageSeries::from_campaign(result, space));
-        }
-    }
-    per_word
+/// One code group of a sweep cell, ready to run: the group's
+/// [`CampaignBatch`] and each word's ground truth, enumerated once here. The
+/// one-shot sweep, fig10 and [`crate::checkpoint::ResumableSweep`] all build
+/// their groups through [`CodeGroup::new`].
+#[derive(Debug)]
+pub(crate) struct CodeGroup<C: LinearBlockCode> {
+    pub(crate) batch: CampaignBatch<C>,
+    spaces: Vec<ErrorSpace>,
 }
 
-/// Evaluates one code group for the sweep, emitting evaluations in
-/// word-major order (word, then profiler) — the same order the historical
-/// per-word loop produced.
-fn evaluate_code_group<C: LinearBlockCode + Clone + Send + 'static>(
-    group: &[WordSample<C>],
+impl<C: LinearBlockCode + Clone + Send + 'static> CodeGroup<C> {
+    pub(crate) fn new(group: &[WordSample<C>], pattern: DataPattern) -> Self {
+        let batch = CampaignBatch::new(
+            group[0].code.clone(),
+            group
+                .iter()
+                .map(|sample| BatchWord::new(sample.faults.clone(), pattern, sample.campaign_seed))
+                .collect(),
+        );
+        let spaces = (0..batch.len())
+            .map(|word| batch.error_space(word))
+            .collect();
+        Self { batch, spaces }
+    }
+
+    /// Scores each profiler's per-word results, in the order `results`
+    /// yields them, against the stored ground truth, and returns the series
+    /// word-major (`result[word][profiler]`). Each profiler's snapshots are
+    /// reduced to series before the next profiler's are produced, so only
+    /// the series stay alive across profilers.
+    pub(crate) fn score(
+        &self,
+        results: impl Iterator<Item = Vec<CampaignResult>>,
+    ) -> Vec<Vec<CoverageSeries>> {
+        let mut per_word = vec![Vec::new(); self.spaces.len()];
+        for profiler_results in results {
+            for ((result, space), word_series) in
+                profiler_results.iter().zip(&self.spaces).zip(&mut per_word)
+            {
+                word_series.push(CoverageSeries::from_campaign(result, space));
+            }
+        }
+        per_word
+    }
+}
+
+/// Evaluates one cell's samples: groups them by code, shards the groups
+/// across the worker threads, and runs each group as a [`CodeGroup`] with
+/// one cell-batched campaign per profiler. Returns the series word-major
+/// (`result[word][profiler]`) in sample order. This is the single
+/// cell-batched evaluation pipeline behind the coverage sweep *and* the
+/// fig10 case study.
+pub(crate) fn cell_series<C: LinearBlockCode + Clone + Send + Sync + 'static>(
+    config: &EvaluationConfig,
+    samples: &[WordSample<C>],
     profilers: &[ProfilerKind],
-    pattern: harp_memsim::pattern::DataPattern,
-    rounds: usize,
+) -> Vec<Vec<CoverageSeries>> {
+    let groups = shard_groups(
+        group_by_code(samples),
+        crate::runner::effective_threads(config.threads),
+    );
+    parallel_map(&groups, config.threads, |group| {
+        let group = CodeGroup::new(group, config.pattern);
+        group.score(
+            profilers
+                .iter()
+                .map(|&kind| group.batch.run(kind, config.rounds)),
+        )
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Labels word-major series with their cell and profiler, emitting
+/// evaluations in word-major order (word, then profiler).
+pub(crate) fn word_evaluations(
+    per_word: Vec<Vec<CoverageSeries>>,
+    profilers: &[ProfilerKind],
     error_count: usize,
     probability: f64,
-) -> Vec<WordEvaluation> {
-    let per_word = code_group_series(group, profilers, pattern, rounds);
-    let mut evaluations = Vec::with_capacity(group.len() * profilers.len());
-    for word_series in per_word {
-        for (&profiler, series) in profilers.iter().zip(word_series) {
-            evaluations.push(WordEvaluation {
+) -> impl Iterator<Item = WordEvaluation> + '_ {
+    per_word.into_iter().flat_map(move |word_series| {
+        profilers
+            .iter()
+            .zip(word_series)
+            .map(move |(&profiler, series)| WordEvaluation {
                 error_count,
                 probability,
                 profiler,
                 series,
-            });
-        }
-    }
-    evaluations
+            })
+    })
 }
 
 /// Runs the full coverage sweep for the given profilers over any code
@@ -163,21 +194,13 @@ where
     for &error_count in &config.error_counts {
         for &probability in &config.probabilities {
             let samples = sample_words_with(config, error_count, probability, &make_code);
-            let groups = shard_groups(
-                group_by_code(&samples),
-                crate::runner::effective_threads(config.threads),
-            );
-            let per_group = parallel_map(&groups, config.threads, |group| {
-                evaluate_code_group(
-                    group,
-                    profilers,
-                    config.pattern,
-                    config.rounds,
-                    error_count,
-                    probability,
-                )
-            });
-            evaluations.extend(per_group.into_iter().flatten());
+            let per_word = cell_series(config, &samples, profilers);
+            evaluations.extend(word_evaluations(
+                per_word,
+                profilers,
+                error_count,
+                probability,
+            ));
         }
     }
     CoverageSweep {

@@ -17,8 +17,11 @@
 //! Every experiment follows the same pattern: a `run(&EvaluationConfig) ->
 //! XyzResult` function that performs the Monte-Carlo simulation (in parallel
 //! across worker threads), and a `render()` method on the result that
-//! produces the plain-text table printed by the CLI / benches. Results are
-//! `serde`-serializable so they can be archived as JSON.
+//! produces the plain-text table printed by the CLI / benches. Results
+//! derive `Serialize`, but the vendored serde is a marker trait only: `harp
+//! --json` writes a `Debug` dump, not JSON. Strict JSON output is ROADMAP
+//! item 5. The sweep archives that must round-trip go through
+//! [`minijson`] instead.
 //!
 //! The default [`config::EvaluationConfig::quick`] configuration runs in
 //! seconds on a laptop; [`config::EvaluationConfig::paper_scale`] approaches

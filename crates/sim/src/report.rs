@@ -1,9 +1,10 @@
 //! Plain-text table rendering.
 //!
 //! The paper presents its results as matplotlib figures; this reproduction
-//! prints the same series as aligned plain-text tables (and the results are
-//! serde-serializable for archival), which carries the same information
-//! without a plotting dependency.
+//! prints the same series as aligned plain-text tables, which carries the
+//! same information without a plotting dependency. Nothing here is JSON:
+//! the vendored serde only renders `Debug`, so `harp --json` writes a
+//! structured text dump (strict JSON is ROADMAP item 5).
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]

@@ -15,6 +15,11 @@
 //!   (`write_archive` → `resume`, twice) reconstructs exactly the
 //!   [`CoverageSweep`] the one-shot [`run_coverage_sweep`] path computes,
 //!   for all three code families.
+//! * **Progress** — after every round, [`ResumableSweep::progress`] (the
+//!   per-round coverage `harpd` streams in snapshot frames) equals, bit for
+//!   bit, the mean over words of each word's direct coverage after that
+//!   round in the one-shot sweep, for every profiler kind and code family,
+//!   on a fresh sweep and on one resumed from a mid-run archive.
 //! * **Distribution layer** — two shard workers (`--shard 0/2` + `1/2`)
 //!   plus [`merge_shards`] reproduce the single-process sweep exactly, and
 //!   a merge with a missing shard fails loudly instead of returning a
@@ -336,4 +341,110 @@ fn two_shard_workers_plus_merge_reproduce_the_single_process_sweep() {
         error.to_string().contains("missing"),
         "unexpected merge error: {error}"
     );
+}
+
+/// What [`ResumableSweep::progress`] must report after `round` rounds,
+/// recomputed from the finished one-shot sweep: per profiler in lineup
+/// order, the mean over words, in evaluation order, of each word's direct
+/// coverage after that round, and 0.0 before round 1. Compared as bits.
+fn recomputed_progress(reference: &CoverageSweep, round: usize) -> Vec<(ProfilerKind, u64)> {
+    reference
+        .profilers
+        .iter()
+        .map(|&kind| {
+            if round == 0 {
+                return (kind, 0.0_f64.to_bits());
+            }
+            let coverages: Vec<f64> = reference
+                .evaluations
+                .iter()
+                .filter(|evaluation| evaluation.profiler == kind)
+                .map(|evaluation| evaluation.series.direct_coverage[round - 1])
+                .collect();
+            let mean = coverages.iter().sum::<f64>() / coverages.len() as f64;
+            (kind, mean.to_bits())
+        })
+        .collect()
+}
+
+fn assert_progress_matches<C: LinearBlockCode + Clone + Send + 'static>(
+    sweep: &ResumableSweep<C>,
+    reference: &CoverageSweep,
+    label: &str,
+) {
+    let progress: Vec<(ProfilerKind, u64)> = sweep
+        .progress()
+        .into_iter()
+        .map(|(kind, coverage)| (kind, coverage.to_bits()))
+        .collect();
+    assert_eq!(
+        progress,
+        recomputed_progress(reference, sweep.round()),
+        "{label}: progress after round {} differs from the recompute",
+        sweep.round()
+    );
+}
+
+/// Checks progress before round 1 and after every round of a fresh sweep
+/// that archives itself at round `freeze`, then again on a sweep resumed
+/// from that archive.
+fn assert_progress_tracks_the_recompute<C, F>(
+    name: &str,
+    config: &EvaluationConfig,
+    freeze: usize,
+    make_code: F,
+) where
+    C: LinearBlockCode + Clone + Send + Sync + 'static,
+    F: Fn(u64) -> C + Copy,
+{
+    let scratch = ScratchDir::new(&format!("progress_{name}"));
+    let reference = run_coverage_sweep_with(config, &ProfilerKind::ALL, make_code);
+
+    let mut fresh = ResumableSweep::new(config, &ProfilerKind::ALL, make_code);
+    assert_progress_matches(&fresh, &reference, name);
+    while !fresh.is_complete() {
+        fresh.advance(1);
+        assert_progress_matches(&fresh, &reference, name);
+        if fresh.round() == freeze {
+            fresh
+                .write_archive(scratch.path())
+                .expect("archive writable");
+        }
+    }
+
+    let mut resumed = ResumableSweep::resume(scratch.path(), make_code).expect("archive readable");
+    assert_eq!(resumed.round(), freeze);
+    let label = format!("{name} resumed");
+    assert_progress_matches(&resumed, &reference, &label);
+    while !resumed.is_complete() {
+        resumed.advance(1);
+        assert_progress_matches(&resumed, &reference, &label);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// The snapshot-frame guarantee: the coverage `harpd` streams after each
+    /// round is exactly the one-shot sweep's per-round mean, for every
+    /// profiler kind and code family, fresh and resumed mid-run.
+    #[test]
+    fn progress_equals_the_recompute_after_every_round(
+        base_seed in any::<u64>(),
+        freeze in 1usize..12, // tiny_config runs 12 rounds
+    ) {
+        let config = EvaluationConfig {
+            base_seed,
+            ..tiny_config()
+        };
+        assert_progress_tracks_the_recompute("hamming", &config, freeze, |seed| {
+            HammingCode::random(DATA_BITS, seed).expect("valid Hamming code")
+        });
+        assert_progress_tracks_the_recompute("secded", &config, freeze, |seed| {
+            ExtendedHammingCode::random(DATA_BITS, seed).expect("valid SEC-DED code")
+        });
+        assert_progress_tracks_the_recompute("bch", &config, freeze, |_seed| {
+            BchCode::dec(DATA_BITS).expect("valid BCH code")
+        });
+    }
 }
